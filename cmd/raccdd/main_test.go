@@ -71,8 +71,6 @@ func TestServeEndToEnd(t *testing.T) {
 			cacheDir:   t.TempDir(),
 			jobWorkers: 2,
 			queueDepth: 8,
-			engine:     "epoch",
-			shards:     2,
 			drain:      30 * time.Second,
 			pprofAddr:  "127.0.0.1:0",
 		}, ln, &stdout, &stderr)
@@ -145,14 +143,6 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if stats.SimsRun != 1 {
 		t.Fatalf("sims_run = %d, want 1", stats.SimsRun)
-	}
-	// The -engine/-shards defaults flow through to stats, and the run —
-	// which named no engine — was executed by the default epoch engine.
-	if stats.Engine != "epoch" || stats.Shards != 2 {
-		t.Fatalf("stats engine = %s/%d, want epoch/2", stats.Engine, stats.Shards)
-	}
-	if es := stats.EngineSims["epoch"]; es.Sims != 1 {
-		t.Fatalf("engine_sims[epoch].sims = %d, want 1", es.Sims)
 	}
 
 	// Graceful shutdown: cancel (the SIGINT path) and expect exit 0.
@@ -307,11 +297,9 @@ func TestRunFlagErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-addr", "256.0.0.1:http"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("bad addr: exit %d, want 1", code)
 	}
-	if code := run(context.Background(), []string{"-engine", "warp"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("bad engine: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "engine") {
-		t.Fatalf("bad-engine error not reported:\n%s", stderr.String())
+	// There is one execution engine, so -engine is not a flag.
+	if code := run(context.Background(), []string{"-engine", "epoch"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-engine: exit %d, want 2", code)
 	}
 	if code := run(context.Background(), []string{"-log-level", "loud"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad log level: exit %d, want 2", code)

@@ -52,9 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		contiguity  = fs.Float64("contiguity", 1.0, "physical page contiguity 0..1")
 		novalidate  = fs.Bool("novalidate", false, "skip golden-memory validation")
 		smt         = fs.Int("smt", 1, "hardware threads per core (SMT ways)")
-		engine      = fs.String("engine", "", "execution engine: seq (default) or epoch; metric-identical, epoch uses host CPUs inside one run")
-		shards      = fs.Int("shards", 0, "epoch engine worker count (0 = one per host CPU)")
-		coreModel   = fs.String("core", "", "core timing model: simple (default) or ooo; changes the simulated machine, unlike -engine")
+		coreModel   = fs.String("core", "", "core timing model: simple (default) or ooo; changes the simulated machine")
 		prefetch    = fs.Int("prefetch", 0, "delta prefetcher degree (blocks per trained trigger; 0 = off)")
 		prefetchDst = fs.Int("prefetch-distance", 0, "prefetcher look-ahead in strides (0 = default 4; needs -prefetch)")
 		jobs        = fs.Int("jobs", 0, "concurrent runs when several benchmarks are named (0 = one per CPU)")
@@ -139,8 +137,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg.Contiguity = *contiguity
 	cfg.Validate = !*novalidate
 	cfg.SMTWays = *smt
-	cfg.Engine = *engine
-	cfg.Shards = *shards
 	// Reject impossible configurations before any simulation runs.
 	if err := cfg.Check(); err != nil {
 		fmt.Fprintln(stderr, "raccdsim:", err)
@@ -210,18 +206,6 @@ func printResult(w io.Writer, res raccd.Result, mach raccd.Machine, scale float6
 	if res.PrefetchIssued > 0 {
 		fmt.Fprintf(w, "prefetches       %d issued, %d useful, %d late\n", res.PrefetchIssued, res.PrefetchUseful, res.PrefetchLate)
 		fmt.Fprintf(w, "pf coverage      %.1f%% of would-be demand misses\n", res.PrefetchCoverage*100)
-	}
-	// The epoch engine reports how its wall time split between parallel
-	// speculative generation and the serial commit loop — the Amdahl
-	// bottleneck docs/ENGINE.md describes. The seq engine leaves these
-	// zero.
-	if res.EngineGenSeconds > 0 || res.EngineCommitSeconds > 0 {
-		serial := 0.0
-		if total := res.EngineGenSeconds + res.EngineCommitSeconds; total > 0 {
-			serial = res.EngineCommitSeconds / total
-		}
-		fmt.Fprintf(w, "engine phases    %.1fms generate + %.1fms commit (%.0f%% commit-side) over %.1fms wall\n",
-			res.EngineGenSeconds*1e3, res.EngineCommitSeconds*1e3, serial*100, res.EngineRunSeconds*1e3)
 	}
 	if validated {
 		fmt.Fprintln(w, "validation       OK (protocol invariants + golden final memory)")

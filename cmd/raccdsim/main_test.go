@@ -136,3 +136,14 @@ func TestInvalidConfigRejectedUpFront(t *testing.T) {
 		}
 	}
 }
+
+// TestUsageErrorsExitTwo: -engine and -shards are not flags (there is
+// one execution engine), and a degenerate -scale is rejected before any
+// run.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{{"-engine", "seq"}, {"-shards", "2"}, {"-scale", "-1"}} {
+		if code, _, _ := runSim(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+}

@@ -49,6 +49,7 @@ import (
 	"raccd"
 	"raccd/internal/report"
 	"raccd/internal/resultstore"     //raccd:layering-ok -cache shares the daemon's on-disk store; the store is service plumbing with no public mirror
+	"raccd/internal/workloads"       //raccd:layering-ok -scale is checked against the workload scale domain up front, before any run is spent
 	"raccd/internal/workloads/synth" //raccd:layering-ok -synth validates/canonicalizes spec strings client-side before any run is spent
 )
 
@@ -68,9 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		machList = fs.String("machines", "", "comma-separated machine presets: run the Fig 2 matrix once per machine and print the cross-machine comparison")
 		scale    = fs.Float64("scale", 1.0, "problem scale (1.0 = Table II ÷ 16)")
 		jobs     = fs.Int("jobs", 0, "concurrent simulations (0 = one per CPU, 1 = sequential)")
-		engine   = fs.String("engine", "", "per-run execution engine: seq (default) or epoch; metric-identical, epoch spreads one run across host CPUs")
-		shards   = fs.Int("shards", 0, "epoch engine worker count (0 = one per host CPU)")
-		core     = fs.String("core", "", "core timing model for every run: simple (default) or ooo; changes the simulated machine, unlike -engine")
+		core     = fs.String("core", "", "core timing model for every run: simple (default) or ooo; changes the simulated machine")
 		prefetch = fs.Int("prefetch", 0, "delta prefetcher degree for every run (blocks per trained trigger; 0 = off)")
 		pfDist   = fs.Int("prefetch-distance", 0, "prefetcher look-ahead in strides (0 = default 4; needs -prefetch)")
 		csvPath  = fs.String("csv", "", "write raw results as CSV to this file")
@@ -160,12 +159,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if err := workloads.CheckScale(*scale); err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 2
+	}
+
 	m := report.DefaultMatrix()
 	m.Scale = *scale
 	m.Jobs = *jobs
 	m.Machine = mach
-	m.Engine = *engine
-	m.Shards = *shards
 	m.Core = *core
 	m.PrefetchDegree = *prefetch
 	m.PrefetchDistance = *pfDist

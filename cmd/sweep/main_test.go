@@ -196,3 +196,24 @@ func TestOnlyExtraRequiresExtras(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
 }
+
+// TestBadScaleRejectedUpFront: a scale outside the workload domain
+// (finite, > 0) is a usage error, reported before any run is spent.
+func TestBadScaleRejectedUpFront(t *testing.T) {
+	for _, scale := range []string{"-1", "0", "NaN", "+Inf"} {
+		code, _, stderr := runSweep(t, "-scale", scale, "-fig", "2", "-q")
+		if code != 2 || !strings.Contains(stderr, "scale") {
+			t.Errorf("-scale %s: exit %d, stderr %q", scale, code, stderr)
+		}
+	}
+}
+
+// TestEngineFlagsUndefined: there is one execution engine, so -engine
+// and -shards are not flags and using them is a usage error.
+func TestEngineFlagsUndefined(t *testing.T) {
+	for _, args := range [][]string{{"-engine", "seq"}, {"-shards", "2"}} {
+		if code, _, _ := runSweep(t, args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+}

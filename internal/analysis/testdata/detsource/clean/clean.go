@@ -9,6 +9,6 @@ func charge(d time.Duration) uint64 {
 }
 
 type Result struct {
-	Cycles           uint64
-	EngineRunSeconds float64 `json:"-"`
+	Cycles     uint64
+	RunSeconds float64 `json:"-"`
 }

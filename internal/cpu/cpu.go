@@ -21,8 +21,8 @@
 // Models are deterministic pure state machines over the access stream:
 // given the same sequence of (va, write, latency) calls they charge the
 // same cycles and issue the same prefetches. The runtime calls them only
-// from the canonical commit order (seq engine in place, epoch engine at
-// replay), so every engine and shard count produces identical metrics.
+// from its single dispatch loop, in canonical task order, so every run of
+// a configuration produces identical metrics.
 package cpu
 
 import (
@@ -39,7 +39,7 @@ import (
 // underlying func type).
 type Issuer = func(va mem.Addr) uint64
 
-// Model is one core's timing engine. The runtime brackets every task:
+// Model is one core's timing model. The runtime brackets every task:
 // BeginTask before the body, one Access per demand reference (with the
 // hierarchy's latency for it), DrainTask after the body. All methods are
 // called from a single goroutine; a Model needs no locking.

@@ -28,7 +28,7 @@ const depTableSize = 256
 // max(completion times, issue clock) — the overlapped execution time.
 //
 // The model is a pure function of the access/latency stream: no host
-// state, no randomness, so any engine and shard count reproduces it.
+// state, no randomness, so every run reproduces it.
 type oooModel struct {
 	compute uint64
 

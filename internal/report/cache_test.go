@@ -48,46 +48,3 @@ func TestCachedSweepMatchesGolden(t *testing.T) {
 		t.Fatalf("warm sweep hits = %d, want %d (every run recalled)", warm.Hits, cold.Misses)
 	}
 }
-
-// TestCacheSharedAcrossEngines pins the fingerprint exclusion end to end:
-// a sweep computed under engine=seq is fully recalled from the cache by an
-// engine=epoch sweep (and produces the same golden CSV) — Engine/Shards
-// are not part of the cache key because they cannot change results.
-func TestCacheSharedAcrossEngines(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden_small_sweep.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := smallMatrix()
-	cold.Cache = store
-	if _, err := cold.Run(); err != nil {
-		t.Fatal(err)
-	}
-	misses := store.Stats().Misses
-	if misses == 0 {
-		t.Fatal("cold seq sweep did not populate the cache")
-	}
-
-	warm := smallMatrix()
-	warm.Cache = store
-	warm.Engine = "epoch"
-	warm.Shards = 4
-	set, err := warm.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := set.CSV(); got != string(want) {
-		t.Fatal("epoch sweep over a seq-populated cache diverged from the seed golden")
-	}
-	s := store.Stats()
-	if s.Misses != misses {
-		t.Fatalf("epoch sweep re-simulated: misses %d -> %d (Engine leaked into the cache key)", misses, s.Misses)
-	}
-	if s.Hits != misses {
-		t.Fatalf("epoch sweep hits = %d, want %d (every seq result recalled)", s.Hits, misses)
-	}
-}

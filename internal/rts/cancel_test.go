@@ -62,54 +62,40 @@ func (m *countingMachine) InvalidateNC(int) uint64                   { return 0 
 // the body completes.
 func TestRunCancelMidTask(t *testing.T) {
 	const bodyAccesses = 64 * cancelPollInterval
-	for _, engine := range []string{"seq", "epoch"} {
-		eng, err := ParseEngine(engine, map[string]int{"seq": 0, "epoch": 2}[engine])
-		if err != nil {
-			t.Fatal(err)
+	g := NewGraph()
+	g.Add("long", nil, func(c *Ctx) {
+		for i := 0; i < bodyAccesses; i++ {
+			c.Load(mem.Addr(0x40_0000) + mem.Addr(i)*mem.BlockSize)
 		}
-		g := NewGraph()
-		g.Add("long", nil, func(c *Ctx) {
-			for i := 0; i < bodyAccesses; i++ {
-				c.Load(mem.Addr(0x40_0000) + mem.Addr(i)*mem.BlockSize)
-			}
-		})
-		errStop := errors.New("stop")
-		var polls int
-		m := &countingMachine{}
-		rt := NewRuntime(m, 2, nil)
-		rt.Engine = eng
-		rt.Cancel = func() error {
-			// First call is the dispatch-time poll; the next one is the
-			// first in-body poll, which trips.
-			polls++
-			if polls > 1 {
-				return errStop
-			}
-			return nil
+	})
+	errStop := errors.New("stop")
+	var polls int
+	m := &countingMachine{}
+	rt := NewRuntime(m, 2, nil)
+	rt.Cancel = func() error {
+		// First call is the dispatch-time poll; the next one is the
+		// first in-body poll, which trips.
+		polls++
+		if polls > 1 {
+			return errStop
 		}
-		if mk := rt.Run(g); mk != 0 {
-			t.Fatalf("%s: cancelled run returned makespan %d, want 0", engine, mk)
-		}
-		// The body must have stopped at (or within one interval of) the
-		// first poll, not run its full 64 intervals. Under the epoch
-		// engine the commit replay may consume up to one extra interval
-		// relative to the generation-side count; 2 intervals of slack
-		// covers both engines with room to spare.
-		if m.accesses > 2*cancelPollInterval+64 {
-			t.Fatalf("%s: cancelled mid-task run still issued %d machine accesses (poll interval %d)",
-				engine, m.accesses, cancelPollInterval)
-		}
+		return nil
+	}
+	if mk := rt.Run(g); mk != 0 {
+		t.Fatalf("cancelled run returned makespan %d, want 0", mk)
+	}
+	// The body must have stopped at (or within one interval of) the
+	// first poll, not run its full 64 intervals.
+	if m.accesses > 2*cancelPollInterval+64 {
+		t.Fatalf("cancelled mid-task run still issued %d machine accesses (poll interval %d)",
+			m.accesses, cancelPollInterval)
 	}
 }
 
 // TestRunCancelMidCompute: cancellation lands inside a long pure-compute
 // task body. Compute polls on the same cadence as Load/Store; before it
 // did, a body looping over Compute alone held a cancelled run (and a
-// draining raccdd) until the task finished. The bound is on the seq
-// engine, where the body runs in place under the run's Cancel hook; the
-// epoch engine pre-executes pure compute on workers (bounded by
-// epochWindow) and replays it as a single addition, so no in-body bound
-// applies there.
+// draining raccdd) until the task finished.
 func TestRunCancelMidCompute(t *testing.T) {
 	const bodyComputes = 64 * cancelPollInterval
 	g := NewGraph()

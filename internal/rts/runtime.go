@@ -31,10 +31,9 @@ type Machine interface {
 // core: every access charges lat + ComputePerAccess, which is both the
 // seed behaviour and the fast path.
 //
-// Models are only ever called from the canonical commit order — the seq
-// engine's in-place body run or the epoch engine's replay, never from
-// shard workers — so implementations need no locking and every engine
-// and shard count reproduces their charges exactly.
+// Models are only ever called from the dispatch loop, in canonical task
+// order, so implementations need no locking and every run reproduces
+// their charges exactly.
 type CoreModel interface {
 	BeginTask(issue func(va mem.Addr) uint64)
 	Access(va mem.Addr, write bool, lat uint64) uint64
@@ -192,34 +191,6 @@ type Stats struct {
 	IdleCycles       uint64 // cores waiting for ready tasks
 }
 
-// EnginePhases is a host-side wall-time split of one engine run: where
-// the wall clock went on the simulating machine, the measurement the
-// epoch engine's Amdahl analysis needs. GenSeconds is time spent
-// pre-executing task bodies into access streams (shard workers plus
-// commit-side steals, summed across goroutines, so it can exceed the
-// run's wall time); CommitSeconds is time the single commit goroutine
-// spent replaying streams through the real machine — the serial
-// fraction that bounds speedup.
-type EnginePhases struct {
-	GenSeconds    float64
-	CommitSeconds float64
-	// StolenTasks counts commit-side steals: tasks the dispatch loop
-	// reached before any shard worker had generated them.
-	StolenTasks uint64
-}
-
-// Add accumulates o into s. Engines or harnesses that split execution
-// across several Runtimes merge their per-slice counters with it.
-func (s *Stats) Add(o Stats) {
-	s.TasksRun += o.TasksRun
-	s.ScheduleCycles += o.ScheduleCycles
-	s.RegisterCycles += o.RegisterCycles
-	s.ExecCycles += o.ExecCycles
-	s.InvalidateCycles += o.InvalidateCycles
-	s.WakeupCycles += o.WakeupCycles
-	s.IdleCycles += o.IdleCycles
-}
-
 // Runtime executes a TDG on the simulated machine, reproducing the task
 // life cycle of Fig 3: schedule → deactivate coherence (register) → execute
 // → invalidate non-coherent data → wake-up.
@@ -247,11 +218,6 @@ type Runtime struct {
 	// returns is meaningless; callers must discard it.
 	Cancel func() error
 
-	// Engine selects the execution strategy (nil → the sequential
-	// engine). Every engine is metric-identical by contract: see
-	// ParseEngine and docs/ENGINE.md.
-	Engine Engine
-
 	// CoreModels, when non-nil, holds one core-timing model per logical
 	// processor (len == Cores); task bodies on processor p charge their
 	// accesses through CoreModels[p] instead of the fixed
@@ -274,14 +240,6 @@ type Runtime struct {
 	StackBlocksPerTask int
 
 	Stats Stats
-
-	// EnginePhases is the host-side wall-time breakdown the engine
-	// recorded for the last Run — real elapsed time on the simulating
-	// machine, not simulated cycles, so it is nondeterministic and kept
-	// out of Stats (which engines must reproduce exactly). Only engines
-	// with distinguishable phases fill it in (epoch: speculative
-	// generation vs serial commit); the seq engine leaves it zero.
-	EnginePhases EnginePhases
 
 	// golden tracks the final writer of every stored block in a paged
 	// block store: Ctx.Store updates it on every simulated store, so it
@@ -340,14 +298,13 @@ func (r *Runtime) EachGolden(fn func(b mem.Block, id uint64)) {
 
 // Run executes the graph to completion and returns the makespan: the largest
 // core clock when the last task finishes. It panics on a deadlocked graph
-// (impossible for graphs built by Graph.Add, which are acyclic). The
-// execution strategy is r.Engine (nil → sequential); every engine returns
-// identical makespans, metrics and machine state.
+// (impossible for graphs built by Graph.Add, which are acyclic).
+//
+// One goroutine drives the whole run: pick the core with the smallest
+// clock, pop a ready task, run its life cycle via execute. Every machine
+// access therefore happens in an order fully determined by the graph, the
+// scheduler and the machine's latencies (see docs/ENGINE.md).
 func (r *Runtime) Run(g *Graph) (makespan uint64) {
-	eng := r.Engine
-	if eng == nil {
-		eng = seqEngine{}
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(runCancelled); ok {
@@ -359,20 +316,6 @@ func (r *Runtime) Run(g *Graph) (makespan uint64) {
 			panic(p)
 		}
 	}()
-	return eng.run(r, g)
-}
-
-// runDispatch is the canonical dispatch loop every engine commits through:
-// pick the core with the smallest clock, pop a ready task, run its life
-// cycle via execute. runBody supplies the task-execution phase — the seq
-// engine runs the body in place, the epoch engine replays a pre-executed
-// access stream — and everything else (scheduling, register, stack,
-// invalidate, wake-up traffic and all machine state) happens here, on the
-// calling goroutine, in an order fully determined by the graph, the
-// scheduler and the machine's latencies. That is the determinism argument:
-// whatever an engine does concurrently, its observable effects funnel
-// through this loop in canonical order.
-func (r *Runtime) runDispatch(g *Graph, runBody func(c int, t *Task, ctx *Ctx)) (makespan uint64) {
 	clocks := make([]uint64, r.Cores)
 	for _, t := range g.Tasks() {
 		t.waiting = t.npreds
@@ -402,8 +345,8 @@ func (r *Runtime) runDispatch(g *Graph, runBody func(c int, t *Task, ctx *Ctx)) 
 		if t == nil {
 			// Nothing ready at this core's time: advance to the next
 			// ready event. All other cores' clocks are >= clocks[c],
-			// and completions only happen at dispatch in this engine,
-			// so the earliest ready time is the correct next event.
+			// and completions only happen at dispatch, so the earliest
+			// ready time is the correct next event.
 			minReady, ok := r.Sched.MinReadyTime()
 			if !ok {
 				panic(fmt.Sprintf("rts: deadlock with %d tasks remaining", remaining))
@@ -418,7 +361,7 @@ func (r *Runtime) runDispatch(g *Graph, runBody func(c int, t *Task, ctx *Ctx)) 
 			clocks[c] = minReady
 			continue
 		}
-		clocks[c] = r.execute(c, t, clocks[c], runBody)
+		clocks[c] = r.execute(c, t, clocks[c])
 		remaining--
 	}
 	for _, cl := range clocks {
@@ -430,9 +373,8 @@ func (r *Runtime) runDispatch(g *Graph, runBody func(c int, t *Task, ctx *Ctx)) 
 }
 
 // execute runs one task's life cycle on core c starting at time now and
-// returns the core's clock after the wake-up phase; runBody supplies the
-// task-execution phase (see runDispatch).
-func (r *Runtime) execute(c int, t *Task, now uint64, runBody func(c int, t *Task, ctx *Ctx)) uint64 {
+// returns the core's clock after the wake-up phase.
+func (r *Runtime) execute(c int, t *Task, now uint64) uint64 {
 	r.Stats.TasksRun++
 	t.CoreRun = c
 
@@ -462,6 +404,7 @@ func (r *Runtime) execute(c int, t *Task, now uint64, runBody func(c int, t *Tas
 		computePerAccess: r.ComputePerAccess,
 		strict:           r.StrictAnnotations,
 		golden:           r.golden,
+		cancel:           r.Cancel,
 	}
 	if r.CoreModels != nil {
 		ctx.model = r.CoreModels[c]
@@ -474,7 +417,9 @@ func (r *Runtime) execute(c int, t *Task, now uint64, runBody func(c int, t *Tas
 			return r.Machine.Access(c, va, false, 0)
 		})
 	}
-	runBody(c, t, ctx)
+	if t.Body != nil {
+		t.Body(ctx)
+	}
 	if ctx.model != nil {
 		// Task boundaries synchronize: the invalidate below is a blocking
 		// instruction, so outstanding accesses must complete first.
@@ -512,7 +457,7 @@ func (r *Runtime) execute(c int, t *Task, now uint64, runBody func(c int, t *Tas
 		s.waiting--
 		// A task is ready when its LAST predecessor completes; readiness
 		// time is the max over predecessors' completion times, not the
-		// processing order of this engine.
+		// processing order of this loop.
 		if now > s.ReadyTime {
 			s.ReadyTime = now
 		}

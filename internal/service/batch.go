@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -23,8 +22,7 @@ import (
 // merged set is keyed by (workload, system, ratio, ADR).
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Runs) == 0 {
@@ -38,7 +36,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	specs := make([]fabric.Spec, len(req.Runs))
 	for i, run := range req.Runs {
-		spec, err := fabric.NewSpec(run, s.opts.Engine, s.opts.Shards)
+		spec, err := fabric.NewSpec(run)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("run %d: %w", i, err))
 			return

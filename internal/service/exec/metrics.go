@@ -14,24 +14,14 @@ import (
 // `le`-labeled buckets with a +Inf bucket implied by the count.
 var LatencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// Metrics accumulates the executor's counters: how many simulations
-// each engine executed (cache hits are not sims) and how executed-run
-// latency distributes per coherence scheme. The zero value is ready.
+// Metrics accumulates the executor's counters: how executed-run latency
+// distributes per coherence scheme (cache hits are not runs), per-phase
+// job times and prefetch totals. The zero value is ready.
 type Metrics struct {
 	mu       sync.Mutex
-	engines  map[string]*engineCount
 	schemes  map[string]*histogram
 	phases   map[string]*histogram
 	prefetch PrefetchTotals
-}
-
-type engineCount struct {
-	sims    uint64
-	seconds float64
-	// Host-side wall split the engine itself reported (nonzero only for
-	// engines that record one, i.e. epoch's generation vs serial commit).
-	genSeconds    float64
-	commitSeconds float64
 }
 
 // histogram is one scheme's latency distribution: per-bucket (non-
@@ -44,26 +34,13 @@ type histogram struct {
 
 // Observe records one executed simulation. Matches the
 // report.Matrix.OnSimulated hook signature; safe for concurrent use.
-func (m *Metrics) Observe(engine string, system coherence.Mode, elapsed time.Duration, res sim.Result) {
-	if engine == "" {
-		engine = "seq"
-	}
+func (m *Metrics) Observe(_ string, system coherence.Mode, elapsed time.Duration, res sim.Result) {
 	secs := elapsed.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.engines == nil {
-		m.engines = make(map[string]*engineCount)
+	if m.schemes == nil {
 		m.schemes = make(map[string]*histogram)
 	}
-	ec := m.engines[engine]
-	if ec == nil {
-		ec = &engineCount{}
-		m.engines[engine] = ec
-	}
-	ec.sims++
-	ec.seconds += secs
-	ec.genSeconds += res.EngineGenSeconds
-	ec.commitSeconds += res.EngineCommitSeconds
 
 	name := system.String()
 	h := m.schemes[name]
@@ -131,24 +108,6 @@ func (m *Metrics) PhaseSnapshot() map[string]HistogramSnapshot {
 	return out
 }
 
-// EngineSnapshot is one engine's executed-simulation tally.
-type EngineSnapshot struct {
-	Sims    uint64
-	Seconds float64
-	// Generation vs serial-commit wall split, summed over the engine's
-	// runs; zero for engines that don't report one (seq).
-	GenSeconds    float64
-	CommitSeconds float64
-}
-
-// SimsPerSec is the engine's throughput over its own busy time.
-func (e EngineSnapshot) SimsPerSec() float64 {
-	if e.Seconds <= 0 {
-		return 0
-	}
-	return float64(e.Sims) / e.Seconds
-}
-
 // HistogramSnapshot is one scheme's latency distribution. Counts[i] is
 // the number of observations at or below LatencyBuckets[i]; the last
 // element is the +Inf overflow. Cumulative rendering is the exporter's
@@ -159,18 +118,12 @@ type HistogramSnapshot struct {
 	Total  uint64
 }
 
-// Snapshot returns a coherent copy of all counters.
-func (m *Metrics) Snapshot() (engines map[string]EngineSnapshot, schemes map[string]HistogramSnapshot) {
+// Snapshot returns a coherent copy of the per-scheme run-latency
+// histograms.
+func (m *Metrics) Snapshot() map[string]HistogramSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	engines = make(map[string]EngineSnapshot, len(m.engines))
-	for name, ec := range m.engines {
-		engines[name] = EngineSnapshot{
-			Sims: ec.sims, Seconds: ec.seconds,
-			GenSeconds: ec.genSeconds, CommitSeconds: ec.commitSeconds,
-		}
-	}
-	schemes = make(map[string]HistogramSnapshot, len(m.schemes))
+	schemes := make(map[string]HistogramSnapshot, len(m.schemes))
 	for name, h := range m.schemes {
 		schemes[name] = HistogramSnapshot{
 			Counts: append([]uint64(nil), h.counts...),
@@ -178,5 +131,5 @@ func (m *Metrics) Snapshot() (engines map[string]EngineSnapshot, schemes map[str
 			Total:  h.total,
 		}
 	}
-	return engines, schemes
+	return schemes
 }

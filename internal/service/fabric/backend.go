@@ -26,9 +26,8 @@ import (
 // identity pair the coordinator partitions and dedupes by. Build with
 // NewSpec so the pair is always the one the result store keys by.
 type Spec struct {
-	// Request is the validated wire request, with the coordinator's
-	// engine defaults baked in so every backend executes what the
-	// coordinator validated.
+	// Request is the validated wire request, forwarded as is so every
+	// backend executes what the coordinator validated.
 	Request client.RunRequest
 	// Fingerprint is sim.Config.Fingerprint of the materialized request.
 	Fingerprint string
@@ -42,20 +41,16 @@ type Spec struct {
 // and "hits the same cache object" are one property.
 func (s Spec) Key() string { return s.Fingerprint + " | " + s.Identity }
 
-// NewSpec validates and materializes a wire request into a Spec,
-// resolving empty engine fields against the coordinator's defaults.
-// The error is the same the daemon's submit validation would return.
-func NewSpec(req client.RunRequest, defEngine string, defShards int) (Spec, error) {
-	cfg, err := exec.BuildConfig(req, defEngine, defShards)
+// NewSpec validates and materializes a wire request into a Spec. The
+// error is the same the daemon's submit validation would return.
+func NewSpec(req client.RunRequest) (Spec, error) {
+	cfg, err := exec.BuildConfig(req, "", 0)
 	if err != nil {
 		return Spec{}, err
 	}
 	id, err := workloads.Identity(req.Workload, exec.Scale(req))
 	if err != nil {
 		return Spec{}, err
-	}
-	if req.Engine == "" && req.Shards == 0 {
-		req.Engine, req.Shards = defEngine, defShards
 	}
 	return Spec{Request: req, Fingerprint: cfg.Fingerprint(), Identity: id}, nil
 }
@@ -93,7 +88,6 @@ func (l *Local) Name() string { return l.name }
 // Run implements Backend: materialize and execute through the store.
 func (l *Local) Run(ctx context.Context, spec Spec) (string, []string, error) {
 	buildStop := obs.PhasesFrom(ctx).Start(obs.PhaseBuild)
-	// Engine defaults are already baked into the request by NewSpec.
 	cfg, err := exec.BuildConfig(spec.Request, "", 0)
 	buildStop()
 	if err != nil {

@@ -42,7 +42,7 @@ func PickName(key string, names []string) int {
 
 // SpecsFromMatrix expands a validated sweep matrix into the fabric's run
 // list: one spec per matrix cell, in matrix order, carrying the resolved
-// scale, machine and engine so every backend executes exactly what the
+// scale, machine and core model so every backend executes exactly what the
 // caller validated. machineName is the wire-level machine selector (the
 // -machine flag / SweepRequest.Machine), passed through verbatim because
 // it was already validated into m.Machine. The specs fingerprint
@@ -61,13 +61,11 @@ func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 			DirRatio:         k.Ratio,
 			ADR:              k.ADR,
 			Validate:         &m.Validate,
-			Engine:           m.Engine,
-			Shards:           m.Shards,
 			Core:             m.Core,
 			PrefetchDegree:   m.PrefetchDegree,
 			PrefetchDistance: m.PrefetchDistance,
 		}
-		spec, err := NewSpec(rr, m.Engine, m.Shards)
+		spec, err := NewSpec(rr)
 		if err != nil {
 			return nil, err
 		}

@@ -210,6 +210,18 @@ func TestSubmitValidation(t *testing.T) {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "Jacobi", System: "RaCCD", NCRTEntries: -1})
 			return err
 		}},
+		{"negative run scale", func() error {
+			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "Jacobi", System: "RaCCD", Scale: -1})
+			return err
+		}},
+		{"negative sweep scale", func() error {
+			_, err := c.SubmitSweep(ctx, client.SweepRequest{Workloads: []string{"Jacobi"}, Scale: -1})
+			return err
+		}},
+		{"negative batch scale", func() error {
+			_, err := c.SubmitBatch(ctx, client.BatchRequest{Runs: []client.RunRequest{{Workload: "Jacobi", System: "RaCCD", Scale: -1}}})
+			return err
+		}},
 		{"oversized sweep", func() error {
 			_, err := c.SubmitSweep(ctx, goldenSweep()) // 14 runs > MaxSweepRuns 10
 			return err
@@ -500,5 +512,31 @@ func TestJSONDecodeError(t *testing.T) {
 		if err != nil || e.Error == "" {
 			t.Fatalf("%s: error body not JSON: %v %q", path, err, e.Error)
 		}
+	}
+}
+
+// TestOversizeBodyRejected: a submission body above the cap derived from
+// MaxSweepRuns is refused with 413 before it is decoded, and the daemon
+// keeps serving normal requests afterwards.
+func TestOversizeBodyRejected(t *testing.T) {
+	s, c := newTestServer(t, Options{MaxSweepRuns: 2})
+	ctx := context.Background()
+	run := client.RunRequest{Workload: "MD5", System: "RaCCD", Scale: 0.05}
+	// Each encoded run is well over 32 bytes, so this batch exceeds the cap.
+	huge := client.BatchRequest{Runs: make([]client.RunRequest, s.bodyLimit()/32)}
+	for i := range huge.Runs {
+		huge.Runs[i] = run
+	}
+	_, err := c.SubmitBatch(ctx, huge)
+	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize batch: err = %v, want a 413 APIError", err)
+	}
+
+	st, err := c.SubmitBatch(ctx, client.BatchRequest{Runs: []client.RunRequest{run}})
+	if err != nil {
+		t.Fatalf("normal batch after an oversize one: %v", err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, nil); err != nil || fin.State != "done" {
+		t.Fatalf("normal batch: %v, %+v", err, fin)
 	}
 }

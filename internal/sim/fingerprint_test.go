@@ -73,15 +73,12 @@ func TestFingerprintCanonical(t *testing.T) {
 	if v.Fingerprint() != base.Fingerprint() {
 		t.Error("Validate must not change the fingerprint")
 	}
-	// Engine and Shards select the host execution strategy; engines are
-	// metric-identical by contract, so a cached result computed by one
-	// engine must be shared with every other — they are deliberately not
-	// part of the fingerprint.
+	// Engine "" and "seq" name the same host strategy, so they share
+	// cache entries.
 	e := base
-	e.Engine = "epoch"
-	e.Shards = 8
+	e.Engine = "seq"
 	if e.Fingerprint() != base.Fingerprint() {
-		t.Error("Engine/Shards must not change the fingerprint (cached results are shared across engines)")
+		t.Error(`Engine "" and "seq" must fingerprint identically`)
 	}
 	// Stability: the same value twice.
 	if base.Fingerprint() != base.Fingerprint() {
@@ -145,8 +142,8 @@ func TestFingerprintSensitive(t *testing.T) {
 // to extend Fingerprint (and bump fingerprintVersion if the canonical
 // form changes meaning).
 func TestFingerprintCoversAllFields(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 13 {
-		t.Errorf("sim.Config has %d fields, Fingerprint was written for 13 (11 covered + Engine/Shards deliberately excluded) — extend it and update this count", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 12 {
+		t.Errorf("sim.Config has %d fields, Fingerprint was written for 12 (10 covered + Validate/Engine deliberately excluded) — extend it and update this count", n)
 	}
 	if n := reflect.TypeOf(coherence.Params{}).NumField(); n != 20 {
 		t.Errorf("coherence.Params has %d fields, Fingerprint was written for 20 — extend it and update this count", n)

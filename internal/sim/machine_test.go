@@ -104,7 +104,7 @@ func TestCrossPresetDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				clearHostArtifacts(&res) // host handles and wall times, not metrics
+				res.Hierarchy, res.RunSeconds = nil, 0 // host handle and wall time, not metrics
 				return res
 			}
 			var wg sync.WaitGroup

@@ -50,19 +50,14 @@ type Config struct {
 	// threads on a core share its L1 and NCRT (entries tagged by thread),
 	// and recovery flushes are per-thread. 0 or 1 disables SMT.
 	SMTWays int
-	// Engine selects the host execution strategy: "" or "seq" (the
-	// sequential reference), or "epoch" (shard workers pre-execute task
-	// bodies across host CPUs). Engines are metric-identical by contract —
-	// Engine and Shards change how fast a run finishes, never what it
-	// computes — so neither participates in Fingerprint.
+	// Engine names the host execution strategy. Only the sequential
+	// dispatch loop exists, so "" and "seq" are the accepted values; the
+	// field stays because cmd/raccdbench/tracedsim.go reads it.
 	Engine string
-	// Shards is the worker count for Engine "epoch" (0 → one per host
-	// CPU). Must be 0 for the seq engine.
-	Shards int
 	// Core selects the core-timing model: "" or "simple" (the classic
 	// fixed-cost core, the golden-pinned seed behaviour) or "ooo" (a
 	// 32-entry-window out-of-order core that overlaps independent access
-	// latencies). Unlike Engine, a core model changes the simulated
+	// latencies). A core model changes the simulated
 	// machine — cycles, and through prefetch even traffic — so all three
 	// timing knobs participate in Fingerprint (cfg/v3).
 	Core string
@@ -139,8 +134,8 @@ func (c Config) Check() error {
 	if c.ADR && c.System == coherence.FullCoh {
 		return fmt.Errorf("sim: ADR requires a coherence-deactivation system (PT or RaCCD)")
 	}
-	if _, err := rts.ParseEngine(c.Engine, c.Shards); err != nil {
-		return err
+	if c.Engine != "" && c.Engine != "seq" {
+		return fmt.Errorf("sim: unknown engine %q (want seq)", c.Engine)
 	}
 	if err := c.cpuConfig(params).Check(); err != nil {
 		return err
@@ -207,16 +202,11 @@ type Result struct {
 	PrefetchLate     uint64  `json:",omitempty"`
 	PrefetchCoverage float64 `json:",omitempty"`
 
-	// Host-side wall times of this run: how long rt.Run took on the
-	// simulating machine, split into the engine's speculative-generation
-	// and serial-commit phases when the engine reports one (epoch; zero
-	// for seq). These are measurements of the host, not the simulated
-	// machine — nondeterministic, so excluded from JSON (a cached result
-	// must not replay another host's timings) and zeroed alongside
-	// Hierarchy in engine-equivalence comparisons.
-	EngineRunSeconds    float64 `json:"-"`
-	EngineGenSeconds    float64 `json:"-"`
-	EngineCommitSeconds float64 `json:"-"`
+	// RunSeconds is how long rt.Run took on the simulating host. It
+	// measures the host, not the simulated machine — nondeterministic, so
+	// excluded from JSON (a cached result must not replay another host's
+	// timings) and zeroed alongside Hierarchy in equality comparisons.
+	RunSeconds float64 `json:"-"`
 
 	Hierarchy rts.Machine `json:"-"` // retained for test inspection
 	HStats    coherence.Stats
@@ -302,16 +292,10 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
 		}
 	}
 	rt.StrictAnnotations = cfg.Validate
-	// Check validated the pair above, so this cannot fail here.
-	eng, err := rts.ParseEngine(cfg.Engine, cfg.Shards)
-	if err != nil {
-		return Result{}, err
-	}
-	rt.Engine = eng
 	if ctx.Done() != nil {
 		rt.Cancel = ctx.Err
 	}
-	runStart := time.Now() //raccd:detsource-ok host wall time for Result.EngineRunSeconds, a json:"-" artifact outside every metric path
+	runStart := time.Now() //raccd:detsource-ok host wall time for Result.RunSeconds, a json:"-" artifact outside every metric path
 	cycles := rt.Run(g)
 	runWall := time.Since(runStart)
 	if err := ctx.Err(); err != nil {
@@ -360,9 +344,7 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
 		GraphEdges:   g.NumEdges(),
 		ADRFinalSets: dir.SetsPerBank(),
 
-		EngineRunSeconds:    runWall.Seconds(),
-		EngineGenSeconds:    rt.EnginePhases.GenSeconds,
-		EngineCommitSeconds: rt.EnginePhases.CommitSeconds,
+		RunSeconds: runWall.Seconds(),
 
 		Hierarchy: h,
 		HStats:    hs,

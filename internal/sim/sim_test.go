@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -182,6 +183,43 @@ func TestADRRejectsFullCoh(t *testing.T) {
 	cfg.ADR = true
 	if _, err := Run(workloads.MustGet("MD5", testScale), cfg); err == nil {
 		t.Fatal("ADR with FullCoh did not error")
+	}
+}
+
+// TestEngineCheck pins Config.Check's engine validation: the sequential
+// dispatch loop is the only engine, named "" or "seq".
+func TestEngineCheck(t *testing.T) {
+	for _, name := range []string{"", "seq"} {
+		cfg := DefaultConfig(coherence.RaCCD, 1)
+		cfg.Engine = name
+		if err := cfg.Check(); err != nil {
+			t.Errorf("Check rejected engine %q: %v", name, err)
+		}
+	}
+	cfg := DefaultConfig(coherence.RaCCD, 1)
+	cfg.Engine = "epoch"
+	if err := cfg.Check(); err == nil {
+		t.Error("Check accepted engine epoch")
+	}
+}
+
+// TestRunSecondsReported: every executed run records its dispatch-loop
+// wall time. It is a host measurement, so it stays out of the Result's
+// JSON (a cached result must not replay another host's timing).
+func TestRunSecondsReported(t *testing.T) {
+	res, err := Run(workloads.MustGet("synth:stencil/seed=7/width=4/depth=4/blocks=4", 1.0), DefaultConfig(coherence.RaCCD, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RunSeconds <= 0 {
+		t.Errorf("RunSeconds = %g, want > 0", res.RunSeconds)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "RunSeconds") {
+		t.Error("RunSeconds leaked into the Result JSON")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -131,6 +132,17 @@ func Names() []string {
 	return out
 }
 
+// CheckScale reports whether scale is a usable problem scale: finite and
+// greater than zero. Get and Identity both call it, so a scale is either
+// rejected everywhere or built and cached under one identity. Callers
+// that treat 0 as "default" must apply that default first.
+func CheckScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
+		return fmt.Errorf("workloads: scale %g must be finite and greater than 0", scale)
+	}
+	return nil
+}
+
 // TracePrefix routes "trace:<path>" workload names to RTF trace files.
 const TracePrefix = "trace:"
 
@@ -146,8 +158,12 @@ const TracePrefix = "trace:"
 //     benchmarks land on the same figure rows as native ones.
 //
 // This is the replay hook that lets synthetic suites and trace files join
-// evaluation matrices next to the bundled benchmarks.
+// evaluation matrices next to the bundled benchmarks. A scale CheckScale
+// rejects is an error in every namespace.
 func Get(name string, scale float64) (Workload, error) {
+	if err := CheckScale(scale); err != nil {
+		return Workload{}, err
+	}
 	if strings.HasPrefix(name, synth.Prefix) {
 		p, err := synth.Parse(name)
 		if err != nil {
@@ -191,7 +207,12 @@ func Get(name string, scale float64) (Workload, error) {
 //     re-recording it with different contents invalidates them. (The
 //     header's params fingerprint alone is not enough: it hashes the
 //     recording parameters, not the captured access streams.)
+//
+// Like Get, Identity rejects a scale CheckScale rejects.
 func Identity(name string, scale float64) (string, error) {
+	if err := CheckScale(scale); err != nil {
+		return "", err
+	}
 	if strings.HasPrefix(name, synth.Prefix) {
 		p, err := synth.Parse(name)
 		if err != nil {

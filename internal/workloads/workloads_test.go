@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -242,6 +243,41 @@ func TestScaleChangesSize(t *testing.T) {
 	MustGet("MD5", 1.0).Build(big)
 	if big.NumTasks() <= small.NumTasks() {
 		t.Fatalf("scale had no effect: %d vs %d tasks", big.NumTasks(), small.NumTasks())
+	}
+}
+
+// TestCheckScale pins the scale domain: finite and greater than zero,
+// enforced identically by CheckScale, Get and Identity in every
+// namespace, so a degenerate scale can neither run nor be cached.
+func TestCheckScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{-1, false},
+		{0, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0.05, true},
+		{1, true},
+		{8, true},
+	} {
+		if err := CheckScale(tc.scale); (err == nil) != tc.ok {
+			t.Errorf("CheckScale(%g) = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+		for _, name := range []string{"Jacobi", "synth:chain"} {
+			_, gerr := Identity(name, tc.scale)
+			if (gerr == nil) != tc.ok {
+				t.Errorf("Identity(%s, %g) = %v, want ok=%v", name, tc.scale, gerr, tc.ok)
+			}
+			if tc.scale > 1 {
+				continue // valid and large: Identity covers it without building
+			}
+			if _, gerr = Get(name, tc.scale); (gerr == nil) != tc.ok {
+				t.Errorf("Get(%s, %g) = %v, want ok=%v", name, tc.scale, gerr, tc.ok)
+			}
+		}
 	}
 }
 

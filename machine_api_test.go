@@ -70,9 +70,7 @@ func TestZeroMachineCompatibility(t *testing.T) {
 	// Host artifacts — the hierarchy handle and wall-time measurements —
 	// are not part of the simulated value.
 	a.Hierarchy, b.Hierarchy = nil, nil
-	a.EngineRunSeconds, b.EngineRunSeconds = 0, 0
-	a.EngineGenSeconds, b.EngineGenSeconds = 0, 0
-	a.EngineCommitSeconds, b.EngineCommitSeconds = 0, 0
+	a.RunSeconds, b.RunSeconds = 0, 0
 	if a != b {
 		t.Fatalf("implicit and explicit Paper16 runs diverge:\n%+v\n%+v", a, b)
 	}

@@ -134,16 +134,6 @@ type Config struct {
 	// against the task graph's golden writers (default on via
 	// DefaultConfig).
 	Validate bool
-	// Engine selects the host execution strategy: "" or "seq" (the
-	// sequential reference), or "epoch" (task bodies pre-executed across
-	// host CPUs and committed in canonical order — see docs/ENGINE.md).
-	// Engines are metric-identical: Engine and Shards change how fast a
-	// run finishes, never its Result, so neither is part of Fingerprint
-	// and cached results are shared across engines.
-	Engine string
-	// Shards is the worker count for Engine "epoch" (0 → one per host
-	// CPU); must be 0 for the seq engine.
-	Shards int
 }
 
 // DefaultConfig returns a validated configuration for the given system and
@@ -188,8 +178,6 @@ func (c Config) toSim() sim.Config {
 		cfg.Params.Contiguity = c.Contiguity
 	}
 	cfg.SMTWays = c.SMTWays
-	cfg.Engine = c.Engine
-	cfg.Shards = c.Shards
 	cfg.Core = c.Machine.Core
 	cfg.PrefetchDegree = c.Machine.PrefetchDegree
 	cfg.PrefetchDistance = c.Machine.PrefetchDistance
