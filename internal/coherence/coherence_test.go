@@ -228,6 +228,7 @@ func TestRecoveryFlushWritesDirtyNC(t *testing.T) {
 	r := mem.Range{Start: 0x8000, Size: 4096}
 	h.RegisterRegion(0, r)
 	h.Access(0, 0x8000, true, 77)
+	h.Access(0, 0x100, false, 0) // unregistered: a coherent fill the flush must skip
 	lat := h.InvalidateNC(0)
 	if lat < uint64(h.L1(0).Capacity()) {
 		t.Fatalf("recovery latency %d below cache walk cost", lat)
@@ -235,8 +236,9 @@ func TestRecoveryFlushWritesDirtyNC(t *testing.T) {
 	if h.L1(0).ResidentNC() != 0 {
 		t.Fatal("NC lines survived recovery")
 	}
-	if h.Stats.FlushedNCDirty != 1 {
-		t.Fatalf("FlushedNCDirty = %d, want 1", h.Stats.FlushedNCDirty)
+	s := h.Stats
+	if s.NCFills != 1 || s.CohFills != 1 || s.FlushedNC != 1 || s.FlushedNCDirty != 1 || s.L1Writebacks != 1 {
+		t.Fatalf("stats %+v, want 1 NC fill, 1 coherent fill, 1 dirty NC flush written back", s)
 	}
 	if h.NCRT(0).Len() != 0 {
 		t.Fatal("NCRT not cleared by recovery")

@@ -303,7 +303,7 @@ func (r *Runtime) EachGolden(fn func(b mem.Block, id uint64)) {
 // One goroutine drives the whole run: pick the core with the smallest
 // clock, pop a ready task, run its life cycle via execute. Every machine
 // access therefore happens in an order fully determined by the graph, the
-// scheduler and the machine's latencies (see docs/ENGINE.md).
+// scheduler and the machine's latencies (see docs/DETERMINISM.md).
 func (r *Runtime) Run(g *Graph) (makespan uint64) {
 	defer func() {
 		if p := recover(); p != nil {

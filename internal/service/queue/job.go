@@ -134,23 +134,24 @@ func mustJSON(v any) json.RawMessage {
 // trace ID is injected into the payload (SSE writes only the id/event/
 // data lines, so the trace must live inside data to reach the wire).
 // The notify channel is closed and replaced on every append
-// (broadcast); callers hold no lock, the job's own mutex is taken here.
+// (broadcast). j.mu must be held once other goroutines can see the job.
 func (j *Job) appendEvent(typ string, data map[string]any) {
 	if j.trace != "" {
 		data["trace"] = j.trace
 	}
-	raw := mustJSON(data)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, Event{ID: len(j.events), Type: typ, Data: raw})
+	j.events = append(j.events, Event{ID: len(j.events), Type: typ, Data: mustJSON(data)})
 	close(j.notify)
 	j.notify = make(chan struct{})
 }
 
 // SetState transitions the job and logs a status event. Entering
-// StateRunning records the queue-wait phase (created → started).
+// StateRunning records the queue-wait phase (created → started). The
+// state and its events change under one lock: a subscriber that sees a
+// terminal state has every event of the transition in its log tail, so
+// a stream that ends on "finished with nothing new" loses no event.
 func (j *Job) SetState(s State, errMsg string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = s
 	now := time.Now()
 	switch s {
@@ -163,7 +164,6 @@ func (j *Job) SetState(s State, errMsg string) {
 	if errMsg != "" {
 		j.err = errMsg
 	}
-	j.mu.Unlock()
 	j.appendEvent("status", map[string]any{"state": s})
 	switch s {
 	case StateDone:
@@ -194,10 +194,9 @@ func (j *Job) Finish(csv string, err error) {
 // Progress logs one completed run.
 func (j *Job) Progress(line string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.runsDone++
-	idx := j.runsDone - 1
-	j.mu.Unlock()
-	j.appendEvent("progress", map[string]any{"index": idx, "line": line})
+	j.appendEvent("progress", map[string]any{"index": j.runsDone - 1, "line": line})
 }
 
 // EventsSince returns the log tail from index from, the channel that will

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -328,10 +329,22 @@ func (s *Server) bodyLimit() int64 {
 
 // decodeBody decodes a JSON request body into v, reading at most
 // bodyLimit bytes. It answers 413 for an oversize body and 400 for a
-// malformed one, and reports whether v holds the request.
+// malformed one: bad JSON, a field v does not declare (so a misspelled
+// "dir_raito" is reported, not run as the default), or data after the
+// request object. It reports whether v holds the request.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit())).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if !errors.As(err, &tooBig) {
+			err = errors.New("unexpected data after the request object")
+		}
+	}
 	switch {
 	case err == nil:
 		return true

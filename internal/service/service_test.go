@@ -165,8 +165,18 @@ func TestConcurrentSameFingerprint(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, c := newTestServer(t, Options{MaxSweepRuns: 10})
+	s, c := newTestServer(t, Options{MaxSweepRuns: 10})
 	ctx := context.Background()
+	// post submits a raw body, for requests the typed client cannot send.
+	post := func(path, body string) error {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		var e struct {
+			Error string `json:"error"`
+		}
+		_ = json.Unmarshal(rec.Body.Bytes(), &e) // an empty Message fails below
+		return &client.APIError{StatusCode: rec.Code, Message: e.Error}
+	}
 
 	cases := []struct {
 		name string
@@ -229,6 +239,33 @@ func TestSubmitValidation(t *testing.T) {
 		{"sweep with bad system", func() error {
 			_, err := c.SubmitSweep(ctx, client.SweepRequest{Systems: []string{"MOESI"}, Scale: 0.05})
 			return err
+		}},
+		{"run with misspelled field", func() error {
+			return post("/v1/runs", `{"workload":"Jacobi","system":"RaCCD","dir_raito":16}`)
+		}},
+		{"run with retired engine field", func() error {
+			return post("/v1/runs", `{"workload":"Jacobi","system":"RaCCD","engine":"epoch"}`)
+		}},
+		{"run with trailing data", func() error {
+			return post("/v1/runs", `{"workload":"Jacobi","system":"RaCCD"} x`)
+		}},
+		{"sweep with misspelled field", func() error {
+			return post("/v1/sweeps", `{"workloads":["Jacobi"],"systems":["RaCCD"],"ratios":[1],"ratio":[16]}`)
+		}},
+		{"sweep with retired shards field", func() error {
+			return post("/v1/sweeps", `{"workloads":["Jacobi"],"systems":["RaCCD"],"ratios":[1],"shards":4}`)
+		}},
+		{"sweep with trailing object", func() error {
+			return post("/v1/sweeps", `{"workloads":["Jacobi"],"systems":["RaCCD"],"ratios":[1]}{"workloads":["MD5"]}`)
+		}},
+		{"batch run with misspelled field", func() error {
+			return post("/v1/batch", `{"runs":[{"workload":"Jacobi","system":"RaCCD","dir_raito":16}]}`)
+		}},
+		{"batch run with retired engine field", func() error {
+			return post("/v1/batch", `{"runs":[{"workload":"Jacobi","system":"RaCCD","engine":"seq","shards":2}]}`)
+		}},
+		{"batch with trailing data", func() error {
+			return post("/v1/batch", `{"runs":[{"workload":"Jacobi","system":"RaCCD"}]}]`)
 		}},
 	}
 	for _, tc := range cases {

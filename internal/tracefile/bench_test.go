@@ -13,7 +13,7 @@ import (
 
 // benchWorkload is the subject of every trace benchmark: Jacobi at a scale
 // big enough to be representative, small enough for -benchtime 1x smoke
-// runs (CI). Results land in BENCH_tracefile.json.
+// runs (CI).
 const (
 	benchName  = "Jacobi"
 	benchScale = 0.25
